@@ -13,7 +13,7 @@ per-url training manifest out, chaining the standard crawl curation legs:
 4. **quality floor + split** — drop low-quality pages and assign the
    hash-derived train/valid/test split.
 
-Scale shape: leg 1 is zero-shuffle (actor-pool extract + row-local
+Scale shape: leg 1 is zero-shuffle (stateless extract + row-local
 annotate); legs 2 and 3 exchange SKINNY (url, ts)-derived rows only; the
 final assembly is ONE url-keyed hash join between the annotation rows and
 the surviving capped urls.  Text crosses no exchange anywhere.  Every leg
@@ -60,8 +60,8 @@ def crawl_corpus(pages_ds):
         return pa.table({"url": b["url"], "lang_pred": lang,
                          "quality": q}).filter(keep).cast(_ANN_SCHEMA)
 
-    ann = (pages_ds.map_batches(pg.Extractor, batch_format="pyarrow",
-                                concurrency=(1, 8), batch_size=4096)
+    ann = (pages_ds.map_batches(pg.extract_batch, batch_format="pyarrow",
+                                batch_size=4096)
            .map_batches(annotate, batch_format="pyarrow"))
 
     # --- leg 2: canonical first-seen winners (skinny (url, ts) rows only;

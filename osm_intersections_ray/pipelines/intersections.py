@@ -27,6 +27,7 @@ from ..stages import intersections_geom as geom
 from ..stages import intersections_node as nodep
 from ..stages import waydata as wd
 from ..stages.citytag import CityTagger, load_city_polys
+from ..stages.common import map_tasks
 
 OUT_SCHEMA = pa.schema(
     [
@@ -46,7 +47,9 @@ OUT_SCHEMA = pa.schema(
 @dataclass
 class PipelineConfig:
     n_buckets: int = 32          # hash buckets per wide stage (per county)
-    tag_concurrency: int = 4     # CityTagger actor pool size
+    # no engine reader (CityTagger runs as tasks); kept for callers that
+    # size their own CityTagger actor pool
+    tag_concurrency: int = 4
     batch_size: int = 4096
     num_blocks: int | None = 16  # input block count (None = Ray's default);
     # small inputs suffer per-task overhead with Ray's default 200 blocks
@@ -73,11 +76,7 @@ def build_waydata(fixture_dir: str, counties: list[str] | None = None,
     cfg = cfg or PipelineConfig()
     ways_ds = load_ways(fixture_dir, counties, cfg.num_blocks).materialize()
     state_ref = ray.put(wd.compute_small_state(ways_ds))
-
-    def make_waydata(b: pa.Table) -> pa.Table:
-        return wd.MakeWayData(state_ref)(b)
-
-    return ways_ds.map_batches(make_waydata, batch_format="pyarrow")
+    return map_tasks(ways_ds, wd.MakeWayData, state_ref)
 
 
 def intersections_pipeline(fixture_dir: str, counties: list[str] | None = None,
@@ -92,13 +91,8 @@ def intersections_pipeline(fixture_dir: str, counties: list[str] | None = None,
     ways_ds = ways_ds.materialize()
 
     # small-side state (driver fixpoint + parity aggregate), broadcast once
-    state = wd.compute_small_state(ways_ds)
-    state_ref = ray.put(state)
-
-    def make_waydata(b: pa.Table) -> pa.Table:
-        return wd.MakeWayData(state_ref)(b)
-
-    waydata_ds = ways_ds.map_batches(make_waydata, batch_format="pyarrow").materialize()
+    state_ref = ray.put(wd.compute_small_state(ways_ds))
+    waydata_ds = map_tasks(ways_ds, wd.MakeWayData, state_ref).materialize()
 
     # --- shared-node path
     exploded = nodep.explode_for_join(waydata_ds, ways_ds, cfg.n_buckets)
@@ -122,18 +116,11 @@ def intersections_pipeline(fixture_dir: str, counties: list[str] | None = None,
         geom_rows.map_batches(finish_geom, batch_format="pyarrow")
     )
 
-    # city PIP tagging actor pool (broadcast boundary polygons)
+    # city PIP tagging (T3): tasks over the broadcast boundary polygons
     bd = pq.read_table(os.path.join(fixture_dir, "boundaries.parquet"))
     cc = pq.read_table(os.path.join(fixture_dir, "county_cities.parquet"))
     polys_ref = ray.put(load_city_polys(bd, cc))
-    # actor pool (T3): polygons parsed once per actor; autoscaling from 1 so
-    # the pool can never reserve every CPU and starve upstream stages
-    tagged = out.map_batches(
-        CityTagger, batch_format="pyarrow",
-        concurrency=(1, cfg.tag_concurrency),
-        batch_size=cfg.batch_size, fn_constructor_args=(polys_ref,),
-    )
-    return tagged
+    return map_tasks(out, CityTagger, polys_ref, batch_size=cfg.batch_size)
 
 
 def geometric_only_pipeline(fixture_dir: str, counties: list[str] | None = None,
@@ -149,11 +136,7 @@ def geometric_only_pipeline(fixture_dir: str, counties: list[str] | None = None,
     cfg = cfg or PipelineConfig()
     ways_ds = load_ways(fixture_dir, counties, cfg.num_blocks).materialize()
     state_ref = ray.put(wd.compute_small_state(ways_ds))
-
-    def make_waydata(b: pa.Table) -> pa.Table:
-        return wd.MakeWayData(state_ref)(b)
-
-    waydata_ds = ways_ds.map_batches(make_waydata, batch_format="pyarrow").materialize()
+    waydata_ds = map_tasks(ways_ds, wd.MakeWayData, state_ref).materialize()
     mot_ref = ray.put(geom.motorway_cell_set(waydata_ds))
     rows = nodep.remove_junctions(geom.geometric_intersections(waydata_ds, mot_ref))
 

@@ -278,7 +278,7 @@ def queries() -> dict:
 
     # --- pages graft (input_hint table)
     q["pages_extract"] = lambda sf: _pages(sf, columns=["url", "html"]).map_batches(
-        pages.Extractor, batch_format="pyarrow", concurrency=(1, 8), batch_size=4096)
+        pages.extract_batch, batch_format="pyarrow", batch_size=4096)
     q["pages_geotag"] = lambda sf: _pages(sf, columns=["url", "html"]).map_batches(
         pages.geotag_batch, batch_format="pyarrow", batch_size=4096)
     q["pages_way_join"] = lambda sf: pages.pages_way_join(

@@ -1,11 +1,11 @@
 """City tagging: point-in-polygon against city boundaries, first match in
 boundary-file order, else 'Unincorporated' (js/geo.js:60-70,1246-1266 — J4/T3).
 
-A broadcast stateful actor pool: polygons are parsed once per actor in
-``__init__`` from a ``ray.put`` reference; each batch is tagged with a
-vectorized ray-cast per polygon (cheap: cities per county are few).  At
-cluster scale the boundary set for a whole planet is still small (dimension
-data), so broadcast beats any shuffle join.
+A stateless task stage over broadcast polygons: they are parsed once on the
+driver and ``ray.put``; each worker fetches them once with ``cached_get``,
+and each batch is tagged with a vectorized ray-cast per polygon (cheap:
+cities per county are few).  At cluster scale the boundary set for a whole
+planet is still small (dimension data), so broadcast beats any shuffle join.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ def load_city_polys(boundaries_tbl: pa.Table, county_cities_tbl: pa.Table) -> di
 
 class CityTagger:
     def __init__(self, polys_ref):
-        import ray
+        from .common import cached_get
 
-        self.polys = (ray.get(polys_ref)
-                      if not isinstance(polys_ref, dict) else polys_ref)
+        self.polys = cached_get(polys_ref)
 
     def __call__(self, b: pa.Table) -> pa.Table:
         lats = b["lat"].to_numpy(zero_copy_only=False)

@@ -41,6 +41,20 @@ def cached_get(ref):
     return _BROADCAST_CACHE[key]
 
 
+def map_tasks(ds, cls, *args, **map_kwargs):
+    """``ds.map_batches`` running ``cls(*args)(batch)`` as plain tasks.
+
+    The task form of a stage whose only state is broadcast refs: ``cls``
+    resolves its refs with :func:`cached_get`, so building it per batch is
+    cheap and each worker deserializes a ref once.  No pool is sized, so no
+    pool can hold the CPUs its upstream tasks need."""
+    def run(b: pa.Table) -> pa.Table:
+        return cls(*args)(b)
+
+    run.__name__ = cls.__name__  # operator name in Ray's stats
+    return ds.map_batches(run, batch_format="pyarrow", **map_kwargs)
+
+
 def drop_empty_blocks(mat_ds):
     """Strip zero-row blocks from a MATERIALIZED dataset.
 

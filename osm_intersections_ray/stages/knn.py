@@ -17,9 +17,9 @@ Index layout (region-sharded, built distributedly):
 * a ``groupby(supercell)`` builds one payload (cell -> vertex arrays) per
   supercell; the driver streams the payload rows and ``ray.put``s each — it
   never materializes the whole vertex table, holding one supercell at a time;
-* query actors receive only the {supercell: ObjectRef} dict and fetch
-  (worker-cached) the supercells their probe rings actually touch — the
-  region-routing that replaces a single global broadcast index.
+* query tasks receive only the {supercell: ObjectRef} dict and fetch, with
+  a per-worker ``cached_get``, the supercells their probe rings actually
+  touch — the region-routing that replaces a single global broadcast index.
 
 A query probes its own cell, then expands ring by ring; ring r+1's L1 lower
 bound is r * 0.01 deg * metersPerDegree, and expansion stops only when the
@@ -37,6 +37,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.scalar import METERS_PER_DEGREE, get_way_name
+from .common import cached_get, map_tasks
 
 SUPER = 10  # 10 x 10 cells (0.1 deg) per supercell
 DELTA_M = 0.01 * METERS_PER_DEGREE
@@ -89,7 +90,8 @@ def build_region_index_refs(vertices_ds) -> dict:
     """Distributed index build: group vertices by supercell, build each
     supercell's {cell: arrays} payload in the worker, stream payload rows to
     the driver which ``ray.put``s one supercell at a time.  Returns
-    {"refs": {sc: ObjectRef}, "span": (min_cx, min_cy, max_cx, max_cy)}."""
+    {"refs": {sc: ObjectRef}, "span": (min_cx, min_cy, max_cx, max_cy),
+    "n_vertices": total vertex count}."""
     import ray
 
     def add_keys(b: pa.Table) -> pa.Table:
@@ -118,42 +120,38 @@ def build_region_index_refs(vertices_ds) -> dict:
                          "cy_min": pa.array([int(df["cy"].min())], pa.int64()),
                          "cx_max": pa.array([int(df["cx"].max())], pa.int64()),
                          "cy_max": pa.array([int(df["cy"].max())], pa.int64()),
+                         "n": pa.array([len(df)], pa.int64()),
                          "payload": pa.array([payload], pa.binary())})
 
     rows = (vertices_ds.map_batches(add_keys, batch_format="pyarrow")
             .groupby("sc").map_groups(per_sc, batch_format="pandas"))
     refs: dict = {}
     span = [None, None, None, None]
+    n_vertices = 0
     for batch in rows.iter_batches(batch_format="pyarrow", batch_size=8):
-        for sc, x0, y0, x1, y1, payload in zip(
+        for sc, x0, y0, x1, y1, n, payload in zip(
                 batch["sc"].to_pylist(), batch["cx_min"].to_pylist(),
                 batch["cy_min"].to_pylist(), batch["cx_max"].to_pylist(),
-                batch["cy_max"].to_pylist(), batch["payload"].to_pylist()):
+                batch["cy_max"].to_pylist(), batch["n"].to_pylist(),
+                batch["payload"].to_pylist()):
             refs[int(sc)] = ray.put(pickle.loads(payload))
+            n_vertices += n
             span[0] = x0 if span[0] is None else min(span[0], x0)
             span[1] = y0 if span[1] is None else min(span[1], y0)
             span[2] = x1 if span[2] is None else max(span[2], x1)
             span[3] = y1 if span[3] is None else max(span[3], y1)
-    return {"refs": refs, "span": tuple(span)}
+    return {"refs": refs, "span": tuple(span), "n_vertices": n_vertices}
 
 
 class _RegionIndex:
-    """Actor-side view: fetches supercell payloads lazily (worker-cached)."""
+    """Task-side view: fetches supercell payloads lazily (worker-cached)."""
 
     def __init__(self, index: dict):
-        from .common import cached_get
-
-        self._get = cached_get
         self.refs = index["refs"]
         self.span = index["span"]
-        self._payloads: dict = {}
 
     def payload(self, sc: int):
-        p = self._payloads.get(sc)
-        if p is None:
-            p = self._get(self.refs[sc])
-            self._payloads[sc] = p
-        return p
+        return cached_get(self.refs[sc])
 
     def cell(self, cx: int, cy: int):
         sc = _sc_of(cx, cy)
@@ -183,12 +181,10 @@ def _ring_cells(cx: int, cy: int, r: int):
 
 
 class NearestWay:
-    """Actor: k=1 ring-expansion nearest-vertex queries.  Tie-break on
+    """k=1 ring-expansion nearest-vertex queries.  Tie-break on
     (distance, way_id) ascending — matching the SQL oracle's ORDER BY."""
 
     def __init__(self, index_ref):
-        from .common import cached_get
-
         self.idx = _RegionIndex(cached_get(index_ref))
 
     def _query(self, qlat: float, qlon: float) -> int:
@@ -235,7 +231,7 @@ _EXHAUST_RINGS = 2 * SUPER
 
 
 class NearestTwo:
-    """Actor: findClosest (js/geo.js:1319-1361) — nearest way name plus
+    """findClosest (js/geo.js:1319-1361) — nearest way name plus
     second-nearest DISTINCTLY-named way, with the reference's quirks
     (``/undefined`` when no distinct name exists; bare name when the distinct
     second's distance is falsy 0).  Iteration-order ties resolve by
@@ -250,8 +246,6 @@ class NearestTwo:
     supercell payload wholesale and answering from complete state."""
 
     def __init__(self, index_ref):
-        from .common import cached_get
-
         self.idx = _RegionIndex(cached_get(index_ref))
 
     @staticmethod
@@ -357,9 +351,8 @@ def nearest_way_queries(ways_ds, n_queries: int = 20):
 
     vertices = ways_ds.map_batches(_explode_named_ways, batch_format="pyarrow")
     idx_ref = ray.put(build_region_index_refs(vertices))
-    ds = rd.from_arrow(_probe_points(n_queries))
-    return ds.map_batches(NearestWay, batch_format="pyarrow",
-                          concurrency=(1, 2), fn_constructor_args=(idx_ref,))
+    return map_tasks(rd.from_arrow(_probe_points(n_queries)), NearestWay,
+                     idx_ref)
 
 
 def nearest_two_queries(ways_ds, n_queries: int = 20):
@@ -371,9 +364,8 @@ def nearest_two_queries(ways_ds, n_queries: int = 20):
 
     vertices = ways_ds.map_batches(_explode_named_ways, batch_format="pyarrow")
     idx_ref = ray.put(build_region_index_refs(vertices))
-    ds = rd.from_arrow(_probe_points(n_queries))
-    return ds.map_batches(NearestTwo, batch_format="pyarrow",
-                          concurrency=(1, 2), fn_constructor_args=(idx_ref,))
+    return map_tasks(rd.from_arrow(_probe_points(n_queries)), NearestTwo,
+                     idx_ref)
 
 
 def nearest_two_from_waydata(waydata_ds, probes: pa.Table):
@@ -385,9 +377,7 @@ def nearest_two_from_waydata(waydata_ds, probes: pa.Table):
 
     vertices = waydata_ds.map_batches(_explode_waydata, batch_format="pyarrow")
     idx_ref = ray.put(build_region_index_refs(vertices))
-    return rd.from_arrow(probes).map_batches(
-        NearestTwo, batch_format="pyarrow", concurrency=(1, 2),
-        fn_constructor_args=(idx_ref,))
+    return map_tasks(rd.from_arrow(probes), NearestTwo, idx_ref)
 
 
 def nearest_way_sql(ways_path: str, n_queries: int = 20) -> str:
@@ -446,7 +436,7 @@ FROM m1 LEFT JOIN m2 ON m2.k = m1.k
 
 
 class PagesNearestWay(NearestWay):
-    """Actor for the full-table kNN spatial JOIN: nearest named way per
+    """The full-table kNN spatial JOIN: nearest named way per
     geotagged PAGE (url-keyed), same ring order + (dist, way_id) tie rule
     as :class:`NearestWay`, but vectorized PER QUERY CELL: pages cluster
     (many queries share a 0.01-degree cell), so the ring walk runs once per
@@ -457,20 +447,17 @@ class PagesNearestWay(NearestWay):
     stays O(populated cells round the answers))."""
 
     def _sc_arrays(self, sc: int):
-        # per-actor cache of each supercell's CONCATENATED vertex arrays
-        # (the exhaustive path scores whole supercells, not cells)
-        cached = getattr(self, "_sc_cat", None)
-        if cached is None:
-            cached = self._sc_cat = {}
-        a = cached.get(sc)
-        if a is None:
-            p = self.idx.payload(sc)
+        # each supercell's CONCATENATED vertex arrays (the exhaustive path
+        # scores whole supercells, not cells), kept on the worker-cached
+        # payload so a worker concatenates a supercell once, not per batch
+        p = self.idx.payload(sc)
+        if "cat" not in p:
             las, los, wis = [], [], []
             for la, lo, wi, *_ in p["cells"].values():
                 las.append(la); los.append(lo); wis.append(wi)
-            a = cached[sc] = (np.concatenate(las), np.concatenate(los),
-                              np.concatenate(wis).astype(np.int64))
-        return a
+            p["cat"] = (np.concatenate(las), np.concatenate(los),
+                        np.concatenate(wis).astype(np.int64))
+        return p["cat"]
 
     @staticmethod
     def _score(best_d, best_w, la, lo, wi, qlat, qlon):
@@ -544,8 +531,8 @@ def pages_nearest_way(pages_ds, ways_ds):
     the same region-sharded supercell index).
 
     Scale shape: the ways side builds the supercell index distributedly and
-    ships as {supercell: ObjectRef} (pages NEVER shuffle); each actor-pool
-    task geotags its page batch and ring-walks the lazily-fetched
+    ships as {supercell: ObjectRef} (pages NEVER shuffle); each task
+    geotags its page batch and ring-walks the lazily-fetched
     supercells it actually touches.  Per-query cost is O(populated cells in
     the answer's rings), independent of corpus size; the pages stream keeps
     Ray's backpressure.  Pages without a parseable geotag drop exactly like
@@ -558,16 +545,7 @@ def pages_nearest_way(pages_ds, ways_ds):
     idx_ref = ray.put(build_region_index_refs(vertices))
     pts = pages_ds.map_batches(geotag_batch, batch_format="pyarrow",
                                batch_size=4096)
-    # FIXED pool size: an autoscaling (1, N) pool never ramps up inside a
-    # seconds-long job (the round-4 codec-chain finding); the index refs in
-    # __init__ are exactly the state that justifies the actor pool.  Unlike
-    # the fused codec chains, the geotag/index maps here are SEPARATE task
-    # operators — the pool must leave them CPU headroom or the pipeline
-    # deadlocks on a small cluster (observed live at the 8-cpu gate).
-    n_act = max(2, min(8, int(ray.cluster_resources().get("CPU", 8)) - 2))
-    return pts.map_batches(PagesNearestWay, batch_format="pyarrow",
-                           batch_size=2048, concurrency=n_act,
-                           fn_constructor_args=(idx_ref,))
+    return map_tasks(pts, PagesNearestWay, idx_ref, batch_size=2048)
 
 
 def pages_nearest_way_sql(pages_tbl: str, ways_path: str) -> str:
@@ -616,7 +594,7 @@ SELECT url, way_id FROM r WHERE rn = 1
 # Cardinality-routed like pages_way_join: below SNAP_BROADCAST_VERTICES_MAX
 # the named-way geometry ships once via ray.put as four flat arrays (sorted
 # way ids, offsets, flat lats/lons) and the snap happens inside the SAME
-# actor pool that answers the kNN — pages never shuffle, zero exchanges.
+# task that answers the kNN — pages never shuffle, zero exchanges.
 # Above the cap, the way geometry explodes to segment rows and the snap runs
 # as a way_id hash join of SKINNY page rows (url, lat, lon, way_id — html
 # never crosses) plus one url-keyed argmin fold; both routes are pinned
@@ -719,13 +697,11 @@ def _snap_to_ways(geom: dict, way: np.ndarray, plat: np.ndarray,
 
 
 class PagesSegmentSnap(PagesNearestWay):
-    """Actor: nearest named way per page (inherited ring walk) + in-batch
+    """Nearest named way per page (inherited ring walk) + in-batch
     segment projection against the broadcast geometry — zero exchanges."""
 
     def __init__(self, index_ref, geom_ref, with_d2: bool = False):
         super().__init__(index_ref)
-        from .common import cached_get
-
         self.geom = cached_get(geom_ref)
         self.with_d2 = with_d2
 
@@ -838,21 +814,15 @@ def pages_segment_snap(pages_ds, ways_ds,
 
     vertices = ways_ds.map_batches(_explode_named_ways,
                                    batch_format="pyarrow")
-    idx_ref = ray.put(build_region_index_refs(vertices))
+    index = build_region_index_refs(vertices)
+    idx_ref = ray.put(index)
     pts = pages_ds.map_batches(geotag_batch, batch_format="pyarrow",
                                batch_size=4096)
-    n_act = max(2, min(8, int(ray.cluster_resources().get("CPU", 8)) - 2))
-    n_vertices = ways_ds.map_batches(
-        _explode_named_ways, batch_format="pyarrow").count()
-    if n_vertices <= broadcast_vertices_max:
+    if index["n_vertices"] <= broadcast_vertices_max:
         geom_ref = ray.put(build_named_geom(ways_ds, broadcast_vertices_max))
-        return pts.map_batches(PagesSegmentSnap, batch_format="pyarrow",
-                               batch_size=2048, concurrency=n_act,
-                               fn_constructor_args=(idx_ref, geom_ref,
-                                                    with_d2))
-    nn = pts.map_batches(PagesNearestWayCoords, batch_format="pyarrow",
-                         batch_size=2048, concurrency=n_act,
-                         fn_constructor_args=(idx_ref,))
+        return map_tasks(pts, PagesSegmentSnap, idx_ref, geom_ref, with_d2,
+                         batch_size=2048)
+    nn = map_tasks(pts, PagesNearestWayCoords, idx_ref, batch_size=2048)
     return _snap_join_route(nn, ways_ds, with_d2=with_d2)
 
 
@@ -962,7 +932,7 @@ SELECT url, way_id, seg_idx::BIGINT AS seg_idx FROM pick WHERE rn = 1
 def snap_distance_profile_sql(pages_tbl: str, ways_path: str) -> str:
     return f"""
 WITH {_snap_sql_cte(pages_tbl, ways_path)}
-SELECT CAST(floor({METERS_PER_DEGREE} * sqrt(d2) / 50.0) AS BIGINT)
+SELECT CAST(floor({METERS_PER_DEGREE} * sqrt(d2) / {SNAP_BUCKET_M}) AS BIGINT)
          AS bucket,
        count(*)::BIGINT AS n_pages
 FROM pick WHERE rn = 1 GROUP BY 1

@@ -1,9 +1,10 @@
 """Linear-referencing ("offset") tool: walk N meters along a named road
 chain — the distributed form of js/offset.js:139-244 (T5/J10/M9/M10).
 
-An actor pool holds the per-county way graph (way_id -> way, node -> ways),
-built once per actor from a broadcast ways table; queries stream through
-``map_batches``.  Semantics preserved exactly:
+The per-county way graph (way_id -> way, node -> ways) is built once on the
+driver and broadcast; queries stream through ``map_batches`` tasks, each
+worker fetching the graph once with ``cached_get``.  Semantics preserved
+exactly:
 
 * per-segment distances are fix6-rounded haversine meters (turf.distance,
   R=6371008.8 m) — js/offset.js:107-117;
@@ -22,6 +23,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..functions.scalar import fix6, haversine_m, interpolate
+from .common import cached_get, map_tasks
 
 
 def build_way_graph(ways_tbl: pa.Table) -> dict:
@@ -55,8 +57,6 @@ def _name_or_ref(rec) -> str | None:
 
 class OffsetWalker:
     def __init__(self, graph_ref):
-        from .common import cached_get
-
         g = cached_get(graph_ref)
         self.ways = g["ways"]
         self.node_ways = g["node_ways"]
@@ -129,7 +129,7 @@ class OffsetWalker:
 
 
 def offset_queries(ways_ds, query_rows: list[dict]):
-    """Run a batch of offset queries through the actor pool."""
+    """Run a batch of offset queries as tasks over the broadcast graph."""
     import ray
     import ray.data as rd
 
@@ -139,9 +139,7 @@ def offset_queries(ways_ds, query_rows: list[dict]):
         "node_id": pa.array([q["node_id"] for q in query_rows], pa.int64()),
         "meters": pa.array([float(q["meters"]) for q in query_rows], pa.float64()),
     })
-    return rd.from_arrow(qt).map_batches(
-        OffsetWalker, batch_format="pyarrow", concurrency=(1, 2),
-        fn_constructor_args=(graph_ref,))
+    return map_tasks(rd.from_arrow(qt), OffsetWalker, graph_ref)
 
 
 def _collect(ways_ds) -> pa.Table:

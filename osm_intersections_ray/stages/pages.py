@@ -2,7 +2,7 @@
 input_hint): text extraction, geotagging, quadkey tile assignment, and the
 pages<->ways spatial join.
 
-* **Extractor (T6)**: an actor-pool ``map_batches`` stage; the per-row
+* **Extractor (T6)**: a stateless ``map_batches`` task stage; the per-row
   invariant is byte-identical extracted text per url (verified row-wise
   against the ``text`` column and by the DuckDB regexp oracle).
 * **Geotag**: compiled-regex parse of the geo.position meta tag ->
@@ -33,22 +33,24 @@ TILE_RES_MIN = 14
 TILE_RES_MAX = 17
 
 _GEO_RE = re.compile(r'<meta name="geo\.position" content="([^;]+);([^"]+)">')
-_ARTICLE_RE = re.compile(rb"<article>(.*?)</article>", re.S)
+
+
+def extract_batch(b: pa.Table) -> pa.Table:
+    """html -> (url, text_extracted): the first <article> body, else ''."""
+    # zero-copy binary->utf8 cast, then a vectorized (C) regex extract
+    ser = b["html"].cast(pa.string()).to_pandas()
+    texts = ser.str.extract(r"(?s)<article>(.*?)</article>", expand=False).fillna("")
+    return pa.table({"url": b["url"],
+                     "text_extracted": pa.array(texts.tolist(), pa.string())})
 
 
 class Extractor:
-    """html -> text, built once per actor (compiled patterns); the stub shape
-    for any heavier model-based extractor."""
-
-    def __init__(self):
-        self.article = _ARTICLE_RE
+    """:func:`extract_batch` as a callable class, for callers that run it in
+    an actor pool of their own; the stub shape for a heavier model-based
+    extractor whose weights would justify one."""
 
     def __call__(self, b: pa.Table) -> pa.Table:
-        # zero-copy binary->utf8 cast, then a vectorized (C) regex extract
-        ser = b["html"].cast(pa.string()).to_pandas()
-        texts = ser.str.extract(r"(?s)<article>(.*?)</article>", expand=False).fillna("")
-        return pa.table({"url": b["url"],
-                         "text_extracted": pa.array(texts.tolist(), pa.string())})
+        return extract_batch(b)
 
 
 def extract_sql(table: str = "pages") -> str:

@@ -51,13 +51,3 @@ class MetricsRun:
             json.dump(rep, f, indent=1)
         return rep
 
-
-def dataset_stats_summary(ds) -> dict:
-    """Condense ``ds.stats()`` into {operator: wall_s} for reports."""
-    import re
-
-    out = {}
-    text = ds.stats()
-    for m in re.finditer(r"Operator \d+ (\S+):.*?(\d+(?:\.\d+)?)s? total", text):
-        out[m.group(1)] = m.group(2)
-    return out

@@ -172,12 +172,11 @@ def test_supercover_subset_of_bbox_cover_and_hits_endpoints(y0, x0, y1, x1):
     Y = np.floor(np.array([y0, y1]) * 1e6 + 0.5).astype(np.int64)
     mnx, mxx = X.min(), X.max()
     mny, mxy = Y.min(), Y.max()
-    cands = []
-    for cx in range(int(-((-mnx) // S) - 1), int(mxx // S) + 1):
-        for cy in range(int(-((-mny) // S) - 1), int(mxy // S) + 1):
-            cands.append((cx, cy))
-    if len(cands) > 400:        # keep the property cheap
+    xs = range(int(-((-mnx) // S) - 1), int(mxx // S) + 1)
+    ys = range(int(-((-mny) // S) - 1), int(mxy // S) + 1)
+    if len(xs) * len(ys) > 400:  # keep the property cheap (count before building)
         return
+    cands = [(cx, cy) for cx in xs for cy in ys]
     dx, dy = int(X[1] - X[0]), int(Y[1] - Y[0])
     hits = set()
     for cx, cy in cands:
