@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 # --- reference 0.01-degree grid -------------------------------------------------
 
 DELTA = 0.01  # 1 / 10**FRACTION_DIGITS, js/gpsBins.js:53-54
@@ -106,14 +104,6 @@ def tile_of(lat: float, lon: float, res: int) -> int:
     ix = min(n - 1, max(0, int(math.floor((lon + 180.0) / 360.0 * n))))
     iy = min(n - 1, max(0, int(math.floor((lat + 90.0) / 180.0 * n))))
     return tile_id(res, ix, iy)
-
-
-def tile_of_np(lat: np.ndarray, lon: np.ndarray, res: int) -> np.ndarray:
-    """Vectorized :func:`tile_of` (the pages-geotag hot path)."""
-    n = 1 << res
-    ix = np.clip(np.floor((np.asarray(lon) + 180.0) / 360.0 * n), 0, n - 1).astype(np.int64)
-    iy = np.clip(np.floor((np.asarray(lat) + 90.0) / 180.0 * n), 0, n - 1).astype(np.int64)
-    return (np.int64(res) << 58) | (ix << 29) | iy
 
 
 def tile_res(cell: int) -> int:

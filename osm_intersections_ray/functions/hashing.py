@@ -18,18 +18,10 @@ import hashlib
 import numpy as np
 
 
-def md5_hex(s: str) -> str:
-    return hashlib.md5(s.encode("utf-8")).hexdigest()
-
-
 def h60(s: str) -> int:
     # first 15 hex chars == first 7.5 bytes big-endian >> 4 (faster than
     # hexdigest slicing + int parse)
     return int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[:8], "big") >> 4
-
-
-def h60_bytes(b: bytes) -> int:
-    return int(hashlib.md5(b).hexdigest()[:15], 16)
 
 
 MIX_C = 6364136223846793005  # odd 63-bit mixing multiplier (Knuth MMIX LCG)
@@ -85,22 +77,6 @@ DUCK_LOWER_TRANS = str.maketrans(DUCK_LOWER_MAP)
 def duck_lower(s: str) -> str:
     """Lowercase exactly as DuckDB/utf8proc's simple mapping does."""
     return s.translate(DUCK_LOWER_TRANS)
-
-
-def char_shingles(text: str, k: int) -> list[str]:
-    """Distinct character k-shingles of a document (lowercased)."""
-    t = duck_lower(text)
-    if len(t) < k:
-        return [t] if t else []
-    return list({t[i : i + k] for i in range(len(t) - k + 1)})
-
-
-def word_shingles(text: str, k: int) -> list[str]:
-    """Distinct word k-shingles (whitespace tokens, lowercased, space-joined)."""
-    toks = duck_lower(text).split()
-    if len(toks) < k:
-        return [" ".join(toks)] if toks else []
-    return list({" ".join(toks[i : i + k]) for i in range(len(toks) - k + 1)})
 
 
 def simhash64(tokens: list[str]) -> int:

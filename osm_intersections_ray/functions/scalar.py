@@ -104,11 +104,6 @@ def dist_l1_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return METERS_PER_DEGREE * (abs(lat1 - lat2) + abs(lon1 - lon2))
 
 
-def dist_l1_m_np(lat: np.ndarray, lon: np.ndarray, lat0: float, lon0: float) -> np.ndarray:
-    """Vectorized L1 'Manhattan meters' to a fixed point."""
-    return METERS_PER_DEGREE * (np.abs(lat - lat0) + np.abs(lon - lon0))
-
-
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in meters (turf.distance semantics,
     js/offset.js:107-117 uses it for the linear-referencing tool only).
@@ -136,15 +131,6 @@ def interpolate(lat1, lon1, lat2, lon2, w2: float) -> tuple[float, float]:
 def file_name_ize(name: str) -> str:
     """Partition-name sanitizer: spaces and '/' -> '_' (js/util.js:26-28)."""
     return name.replace(" ", "_").replace("/", "_")
-
-
-def str_comp(a: str, b: str) -> int:
-    """Three-way string compare (js/geo.js:694-706)."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 def check_highway_types(h1: str | None, h2: str | None, has_common_node: bool) -> bool:

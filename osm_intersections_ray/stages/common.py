@@ -77,14 +77,6 @@ def drop_empty_blocks(mat_ds):
     return rd.from_arrow_refs(refs)
 
 
-def rank64(data_rank: int, pos: int) -> int:
-    return (int(data_rank) << POS_BITS) | int(pos)
-
-
-def list_column(values: list[list], dtype) -> pa.Array:
-    return pa.array(values, type=pa.list_(dtype))
-
-
 def explode_lists(batch: pa.Table, list_cols: list[str], keep_cols: list[str]) -> dict:
     """Explode parallel list columns; returns dict of numpy/python arrays with
     ``keep_cols`` repeated per element plus flattened ``list_cols`` and a

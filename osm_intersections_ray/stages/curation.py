@@ -33,9 +33,6 @@ import pyarrow as pa
 from ..functions.hashing import DUCK_LOWER_TRANS, h60
 from .common import n_shards
 
-_PIPE = chr(124)  # '|' without fighting SQL escaping in f-strings
-
-
 # --- deterministic train/valid/test split ----------------------------------
 SPLIT_CUTS = (800_000, 900_000)  # ppm cutoffs: <80% train, <90% valid, rest test
 
@@ -719,7 +716,6 @@ FROM h WHERE coalesce(host, '') <> ''
 # float parity risk.  Hash-derived, never RNG: stable under re-runs,
 # re-partitioning and incremental ingest, like every sampler in this module.
 WSAMP_K = 150
-_WS_HIST_SCHEMA = pa.schema([("bucket", pa.int64()), ("n", pa.int64())])
 _WS_OUT_SCHEMA = pa.schema([("doc_id", pa.int64()), ("w", pa.int64()),
                             ("priority", pa.int64())])
 

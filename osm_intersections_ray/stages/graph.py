@@ -22,7 +22,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .common import n_shards
+from .common import drop_empty_blocks, n_shards
 
 from ..functions.hashing import h60
 
@@ -595,140 +595,275 @@ FROM deg LEFT JOIN tcnt USING (way_id)
 
 
 # ---------------------------------------------------------------------------
-# Bounded-hops multi-source BFS over the way graph
+# Bounded-hops relaxation over the way graph: way_bfs_hops, way_reach_meters
 #
 # "How far is every road from the motorway network?" — the reach/coverage
 # query a routing or siting pipeline asks of the road graph (and the graph
 # analogue of the kNN family's distance-to-feature queries).  Two ways are
-# adjacent when they share a node (the same graph way_components contracts);
-# hops = BFS layer from the seed set (highway = 'motorway'), bounded by
-# max_hops, not graph diameter.
+# adjacent when they share a node (the same graph way_components contracts).
+# Both ops are ONE label-correcting (Bellman-Ford shape) walk from the seed
+# set (highway = 'motorway', cost 0), bounded by max_hops steps rather than
+# run to fixpoint: stepping onto way v adds v's weight, and a way is
+# re-expanded only when a cheaper label arrives.  Hops weigh every way 1
+# (labels then never improve after their first round, i.e. BFS layers);
+# reach weighs it by its fix6-microdegree L1 polyline length (the
+# way_l1_lengths metric — INTEGER, so every min/plus is exact).  The weight
+# rides on the (node, way_id, w) incidence rows, so nothing per-way is ever
+# collected to the driver.
 #
 # Cardinality-routed like pages_way_join: the reached ball IS the result the
-# driver returns, so while it fits the broadcast budget each round is two
-# STREAMING passes over the materialized (node, way) incidence with the
-# frontier shipped once via ray.put (no exchange at all); if the ball
-# outgrows the budget mid-walk, the remaining hops run as the sharded
-# union-under-one-exchange rounds (link_frontier's anti-join shape) — no
-# broadcast, no driver-side sets, per-round cost three skinny int64
-# exchanges.
+# driver returns, so while it fits ``broadcast_max`` each round is two
+# STREAMING passes over the materialized incidence with the frontier shipped
+# via ray.put and driver-merged integer min-folds (no exchange).  Once the
+# ball would outgrow the budget, the current labels and frontier are handed
+# to the sharded rounds as one dataset and only the remaining rounds run
+# there: per round one way-keyed exchange (relabel against the labeled set,
+# then emit the improved ways' node costs) and one node-keyed exchange
+# (node costs + the weights -> candidate way costs), plus a final relabel.
 BFS_MAX_HOPS = 4
 BFS_SEED_HIGHWAY = "motorway"
 BFS_BROADCAST_MAX = 2_000_000   # ball budget for the broadcast route (ways)
+REACH_MAX_HOPS = BFS_MAX_HOPS
 
-_BFS_NW = pa.schema([("node", pa.int64()), ("way_id", pa.int64())])
-_BFS_MIX = pa.schema([("shard", pa.int64()), ("key", pa.int64()),
-                      ("aux", pa.int64()), ("kind", pa.int8())])
-_BFS_OUT = pa.schema([("way_id", pa.int64()), ("hops", pa.int64())])
+_NW = pa.schema([("node", pa.int64()), ("way_id", pa.int64()),
+                 ("w", pa.int64())])
+# one row layout for every exchange; ``kind`` says what a row carries
+_MIX = pa.schema([("shard", pa.int64()), ("key", pa.int64()),
+                  ("aux", pa.int64()), ("cost", pa.int64()),
+                  ("kind", pa.int8())])
+_CAND, _LABEL, _WAY_NODE = 0, 1, 2   # way-keyed: (way, cost) / (way, node)
+_NODE, _NODE_WAY = 3, 4              # node-keyed: (node, cost) / (node, way, w)
 
 
-def _bfs_explode(b: pa.Table) -> pa.Table:
+def _col(b: pa.Table, name: str) -> np.ndarray:
+    return np.asarray(b[name].to_numpy(zero_copy_only=False), np.int64)
+
+
+def _mix(key: np.ndarray, cost: np.ndarray, kind: int, ns,
+         aux: np.ndarray | None = None) -> pa.Table:
+    zeros = np.zeros(len(key), np.int64)
+    return pa.table({"shard": pa.array(key % ns), "key": pa.array(key),
+                     "aux": pa.array(zeros if aux is None else aux),
+                     "cost": pa.array(cost),
+                     "kind": pa.array(np.full(len(key), kind, np.int8))},
+                    schema=_MIX)
+
+
+def _way_lengths(t: pa.Table) -> np.ndarray:
+    """Per-row fix6-µdeg L1 polyline length — the way_l1_lengths metric."""
+    lats = t["lats"].combine_chunks()
+    lons = t["lons"].combine_chunks()
+    lens = np.asarray(lats.value_lengths(), dtype=np.int64)
+    la6 = np.floor(np.asarray(lats.flatten(), np.float64) * 1e6
+                   + 0.5).astype(np.int64)
+    lo6 = np.floor(np.asarray(lons.flatten(), np.float64) * 1e6
+                   + 0.5).astype(np.int64)
+    out = np.zeros(len(lens), dtype=np.int64)
+    if len(la6):
+        d = np.abs(np.diff(la6)) + np.abs(np.diff(lo6))
+        starts = np.concatenate([[0], np.cumsum(lens)])
+        cross = starts[1:-1] - 1
+        d[cross[(cross >= 0) & (cross < len(d))]] = 0
+        if len(d):
+            idx = np.minimum(starts[:-1], len(d) - 1)
+            out = np.add.reduceat(d, idx)
+            out[lens < 2] = 0
+    return out
+
+
+def _incidence(b: pa.Table, weighted: bool) -> pa.Table:
+    """Distinct (node, way_id, w) rows of the tagged ways; w = the way's
+    length when ``weighted``, else 1."""
     t = b.filter(b["tagged"])
     if t.num_rows == 0:
-        return _BFS_NW.empty_table()
+        return _NW.empty_table()
     nodes = t["nodes"].combine_chunks()
     lens = np.asarray(nodes.value_lengths(), dtype=np.int64)
-    nd = np.asarray(nodes.flatten(), dtype=np.int64)
-    wy = np.repeat(np.asarray(t["way_id"].to_numpy(zero_copy_only=False),
-                              dtype=np.int64), lens)
-    pairs = np.unique(np.stack([nd, wy], axis=1), axis=0)
-    return pa.table({"node": pa.array(pairs[:, 0]),
-                     "way_id": pa.array(pairs[:, 1])}, schema=_BFS_NW)
+    w = _way_lengths(t) if weighted else np.ones(t.num_rows, np.int64)
+    rows = np.unique(np.stack([np.asarray(nodes.flatten(), dtype=np.int64),
+                               np.repeat(_col(t, "way_id"), lens),
+                               np.repeat(w, lens)], axis=1), axis=0)
+    return pa.table({"node": pa.array(rows[:, 0]),
+                     "way_id": pa.array(rows[:, 1]),
+                     "w": pa.array(rows[:, 2])}, schema=_NW)
 
 
-def _isin_sorted_np(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    if len(sorted_keys) == 0:
-        return np.zeros(len(values), dtype=bool)
-    idx = np.searchsorted(sorted_keys, values)
-    idx_c = np.minimum(idx, len(sorted_keys) - 1)
-    return sorted_keys[idx_c] == values
+def _merge_min(keys: np.ndarray, vals: np.ndarray):
+    """Sorted-unique keys with the min value per key."""
+    if len(keys) == 0:
+        return keys, vals
+    order = np.lexsort((vals, keys))
+    k, v = keys[order], vals[order]
+    first = np.concatenate([[True], k[1:] != k[:-1]])
+    return k[first], v[first]
 
 
-def _bfs_pass(nw, key_col: str, out_col: str, keys_ref) -> np.ndarray:
-    """One streaming pass: distinct nw[out_col] where nw[key_col] is in the
-    broadcast sorted key set (per-batch unique partials, driver np.unique
-    over the bounded hit set)."""
+def _lookup(keys: np.ndarray, q: np.ndarray):
+    """(position, found) of each ``q`` in the sorted-unique ``keys``."""
+    if len(keys) == 0:
+        return np.zeros(len(q), np.int64), np.zeros(len(q), bool)
+    pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    return pos, keys[pos] == q
+
+
+def _step(keys, costs, src, dst, add=None):
+    """Min-merged (dst, cost [+ add]) over the rows whose src is a key."""
+    pos, hit = _lookup(keys, src)
+    c = costs[pos[hit]]
+    if add is not None:
+        c = c + add[hit]
+    return _merge_min(dst[hit], c)
+
+
+def _relabel(lab_k, lab_c, cand_k, cand_c):
+    """Fold sorted-unique candidates into the labels; returns the new labels
+    and the frontier (the candidates that were new or cheaper)."""
+    pos, known = _lookup(lab_k, cand_k)
+    better = ~known
+    better[known] = cand_c[known] < lab_c[pos[known]]
+    fr_k, fr_c = cand_k[better], cand_c[better]
+    lab_k, lab_c = _merge_min(np.concatenate([lab_k, fr_k]),
+                              np.concatenate([lab_c, fr_c]))
+    return lab_k, lab_c, fr_k, fr_c
+
+
+def _broadcast_pass(nw, src_col, dst_col, keys, costs, add_w: bool):
+    """One streaming pass of :func:`_step` over the incidence with the
+    sorted keys/costs broadcast, min-merged on the driver."""
+    import ray
+
     from .common import cached_get
 
+    ref = ray.put((keys, costs))
+
     def fn(b: pa.Table) -> pa.Table:
-        keys = cached_get(keys_ref)
-        v = np.asarray(b[key_col].to_numpy(zero_copy_only=False), np.int64)
-        hit = _isin_sorted_np(v, keys)
-        out = np.unique(
-            np.asarray(b[out_col].to_numpy(zero_copy_only=False),
-                       np.int64)[hit])
-        return pa.table({"v": pa.array(out, pa.int64())})
+        k, c = cached_get(ref)
+        u, v = _step(k, c, _col(b, src_col), _col(b, dst_col),
+                     _col(b, "w") if add_w else None)
+        return pa.table({"k": pa.array(u, pa.int64()),
+                         "c": pa.array(v, pa.int64())})
 
     df = nw.map_batches(fn, batch_format="pyarrow").to_pandas()
-    return (np.unique(df["v"].to_numpy(dtype=np.int64))
-            if len(df) else np.empty(0, np.int64))
+    if len(df) == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return _merge_min(df["k"].to_numpy(np.int64), df["c"].to_numpy(np.int64))
 
 
-def _bfs_sharded_rounds(nw, frontiers: list, max_rounds: int) -> list:
-    """The above-budget route: continue BFS from ``frontiers`` (a list of
-    per-hop way-id Datasets with column ``v``, earliest first) for up to
-    ``max_rounds`` more rounds using three sharded exchanges per round;
-    returns the extended frontier list."""
+def _sharded_rounds(nw, state, rounds: int, ns):
+    """The above-budget route: continue from ``state`` (label and candidate
+    rows in the _MIX layout) for ``rounds`` more expansions, then a final
+    relabel; returns the label rows."""
+    import pyarrow.compute as pc
+
+    def of_kind(kind: int):
+        return lambda b: b.filter(pc.equal(b["kind"], kind))
+
+    def relabel_emit(t: pa.Table) -> pa.Table:
+        # way-keyed: fold candidates into labels, then the improved ways'
+        # incidence rows give their nodes' costs for the next exchange
+        kind, key = _col(t, "kind"), _col(t, "key")
+        cost, aux = _col(t, "cost"), _col(t, "aux")
+        lab_k, lab_c, fr_k, fr_c = _relabel(
+            *_merge_min(key[kind == _LABEL], cost[kind == _LABEL]),
+            *_merge_min(key[kind == _CAND], cost[kind == _CAND]))
+        m = kind == _WAY_NODE
+        nd_k, nd_c = _step(fr_k, fr_c, key[m], aux[m])
+        return pa.concat_tables([_mix(lab_k, lab_c, _LABEL, ns),
+                                 _mix(nd_k, nd_c, _NODE, ns)])
+
+    def expand(t: pa.Table) -> pa.Table:
+        # node-keyed: node cost + the neighbour way's weight
+        kind, key = _col(t, "kind"), _col(t, "key")
+        cost, aux = _col(t, "cost"), _col(t, "aux")
+        m = kind == _NODE_WAY
+        cw_k, cw_c = _step(*_merge_min(key[kind == _NODE], cost[kind == _NODE]),
+                           key[m], aux[m], cost[m])
+        return _mix(cw_k, cw_c, _CAND, ns)
+
+    by_way = nw.map_batches(
+        lambda b: _mix(_col(b, "way_id"), np.zeros(b.num_rows, np.int64),
+                       _WAY_NODE, ns, aux=_col(b, "node")),
+        batch_format="pyarrow")
+    by_node = nw.map_batches(
+        lambda b: _mix(_col(b, "node"), _col(b, "w"), _NODE_WAY, ns,
+                       aux=_col(b, "way_id")),
+        batch_format="pyarrow")
+
+    for r in range(rounds + 1):
+        last = r == rounds
+        # the sort exchange emits one block per input block, most of them
+        # empty; the labels feed the next round's exchange, so without the
+        # drop the block count (and the round's time) doubles every round
+        out = drop_empty_blocks(
+            (state if last else state.union(by_way)).groupby("shard")
+            .map_groups(relabel_emit, batch_format="pyarrow").materialize())
+        labels = out.map_batches(of_kind(_LABEL), batch_format="pyarrow")
+        if last:
+            break
+        nodes = out.map_batches(of_kind(_NODE),
+                                batch_format="pyarrow").materialize()
+        if nodes.count() == 0:
+            break
+        state = (nodes.union(by_node).groupby("shard")
+                 .map_groups(expand, batch_format="pyarrow").union(labels))
+    return labels
+
+
+def _relax(ways_ds, weighted: bool, out_col: str, max_hops: int,
+           seed_highway: str, broadcast_max: int):
+    """(way_id, ``out_col``): the min summed weight over walks of at most
+    ``max_hops`` steps from a ``seed_highway`` way (seeds 0)."""
+    import pyarrow.compute as pc
+
     import ray.data as rd
 
-    NS = np.int64(n_shards())
+    ns = np.int64(n_shards())
+    out_schema = pa.schema([("way_id", pa.int64()), (out_col, pa.int64())])
 
-    def _nw_mix(key_col: str, aux_col: str):
-        def fn(b: pa.Table) -> pa.Table:
-            k = np.asarray(b[key_col].to_numpy(zero_copy_only=False), np.int64)
-            return pa.table({"shard": pa.array(k % NS), "key": pa.array(k),
-                             "aux": b[aux_col],
-                             "kind": pa.array(np.ones(b.num_rows, np.int8))},
-                            schema=_BFS_MIX)
-        return fn
+    def seeds_fn(b: pa.Table) -> pa.Table:
+        m = pc.and_kleene(b["tagged"], pc.equal(b["highway"], seed_highway))
+        k = _col(b.filter(m), "way_id")
+        return _mix(k, np.zeros(len(k), np.int64), _CAND, ns)
 
-    def _mark(kind: int):
-        def fn(b: pa.Table) -> pa.Table:
-            k = np.asarray(b["v"].to_numpy(zero_copy_only=False), np.int64)
-            return pa.table({"shard": pa.array(k % NS), "key": pa.array(k),
-                             "aux": pa.array(np.zeros(len(k), np.int64)),
-                             "kind": pa.array(
-                                 np.full(len(k), kind, np.int8))},
-                            schema=_BFS_MIX)
-        return fn
+    def result(lab_k, lab_c):
+        return rd.from_arrow(pa.table({"way_id": pa.array(lab_k, pa.int64()),
+                                       out_col: pa.array(lab_c, pa.int64())},
+                                      schema=out_schema))
 
-    def _emit_matched_aux(df: pd.DataFrame) -> pa.Table:
-        present = df.loc[df["kind"] == 0, "key"].unique()
-        hit = df[(df["kind"] == 1) & df["key"].isin(present)]
-        return pa.table({"v": pa.array(
-            hit["aux"].unique().astype(np.int64), pa.int64())})
+    nw = ways_ds.map_batches(_incidence, fn_kwargs={"weighted": weighted},
+                             batch_format="pyarrow").materialize()
+    seeds = ways_ds.map_batches(seeds_fn, batch_format="pyarrow").materialize()
+    n_seeds = seeds.count()
+    if n_seeds == 0:
+        return rd.from_arrow(out_schema.empty_table())
 
-    def _emit_new(df: pd.DataFrame) -> pa.Table:
-        lab = df.loc[df["kind"] == 1, "key"].unique()
-        cand = df.loc[df["kind"] == 0, "key"].unique()
-        new = cand[~pd.Series(cand).isin(lab).to_numpy()]
-        return pa.table({"v": pa.array(new.astype(np.int64), pa.int64())})
+    state, rounds = seeds, max_hops
+    if n_seeds <= broadcast_max:
+        lab_k = lab_c = np.empty(0, np.int64)
+        cand_k = np.unique(seeds.to_pandas()["key"].to_numpy(np.int64))
+        cand_c = np.zeros(len(cand_k), np.int64)
+        for h in range(max_hops + 1):
+            new_k, new_c, fr_k, fr_c = _relabel(lab_k, lab_c, cand_k, cand_c)
+            if len(new_k) > broadcast_max:
+                # the ball outgrew the budget: hand the live labels and
+                # frontier to the sharded rounds for the hops that remain
+                state = rd.from_arrow(pa.concat_tables(
+                    [_mix(lab_k, lab_c, _LABEL, ns),
+                     _mix(fr_k, fr_c, _CAND, ns)]))
+                rounds = max_hops - h
+                break
+            lab_k, lab_c = new_k, new_c
+            if h == max_hops or len(fr_k) == 0:
+                return result(lab_k, lab_c)
+            nd_k, nd_c = _broadcast_pass(nw, "way_id", "node", fr_k, fr_c,
+                                         add_w=False)
+            cand_k, cand_c = _broadcast_pass(nw, "node", "way_id", nd_k, nd_c,
+                                             add_w=True)
 
-    nw_by_way = nw.map_batches(_nw_mix("way_id", "node"),
-                               batch_format="pyarrow").materialize()
-    nw_by_node = nw.map_batches(_nw_mix("node", "way_id"),
-                                batch_format="pyarrow").materialize()
-
-    frontier = frontiers[-1]
-    for _ in range(max_rounds):
-        fr_nodes = (frontier.map_batches(_mark(0), batch_format="pyarrow")
-                    .union(nw_by_way).groupby("shard")
-                    .map_groups(_emit_matched_aux, batch_format="pandas"))
-        nbrs = (fr_nodes.map_batches(_mark(0), batch_format="pyarrow")
-                .union(nw_by_node).groupby("shard")
-                .map_groups(_emit_matched_aux, batch_format="pandas"))
-        cand = nbrs.map_batches(_mark(0), batch_format="pyarrow")
-        labeled = rd.from_arrow(_BFS_MIX.empty_table())
-        for f in frontiers:
-            labeled = labeled.union(
-                f.map_batches(_mark(1), batch_format="pyarrow"))
-        new = (cand.union(labeled).groupby("shard")
-               .map_groups(_emit_new, batch_format="pandas")).materialize()
-        if new.count() == 0:
-            break
-        frontiers.append(new)
-        frontier = new
-    return frontiers
+    return _sharded_rounds(nw, state, rounds, ns).map_batches(
+        lambda b: pa.table({"way_id": b["key"], out_col: b["cost"]},
+                           schema=out_schema),
+        batch_format="pyarrow")
 
 
 def way_bfs_hops(ways_ds, max_hops: int = BFS_MAX_HOPS,
@@ -737,71 +872,8 @@ def way_bfs_hops(ways_ds, max_hops: int = BFS_MAX_HOPS,
     """(way_id, hops) for every tagged way within ``max_hops`` shared-node
     steps of a ``seed_highway`` way; hops = the minimum step count (BFS
     layer).  Seeds carry hops = 0."""
-    import pyarrow.compute as pc
-
-    import ray
-    import ray.data as rd
-
-    nw = ways_ds.map_batches(_bfs_explode, batch_format="pyarrow").materialize()
-
-    def seeds_fn(b: pa.Table) -> pa.Table:
-        m = pc.and_kleene(b["tagged"], pc.equal(b["highway"], seed_highway))
-        t = b.filter(m)
-        return pa.table({"v": t["way_id"].cast(pa.int64())})
-
-    seeds = ways_ds.map_batches(seeds_fn, batch_format="pyarrow").materialize()
-    n_seeds = seeds.count()
-    if n_seeds == 0:
-        return rd.from_arrow(_BFS_OUT.empty_table())
-
-    # per-hop frontier arrays (broadcast route) / datasets (sharded route)
-    arr_frontiers: list[np.ndarray] = []
-    ds_frontiers: list = []
-
-    if n_seeds <= broadcast_max:
-        fr = np.unique(seeds.to_pandas()["v"].to_numpy(dtype=np.int64))
-        labeled = fr
-        arr_frontiers.append(fr)
-        for _h in range(max_hops):
-            nodes = _bfs_pass(nw, "way_id", "node", ray.put(fr))
-            if len(nodes) == 0:
-                break
-            cand = _bfs_pass(nw, "node", "way_id", ray.put(nodes))
-            new = cand[~_isin_sorted_np(cand, labeled)]
-            if len(new) == 0:
-                break
-            if len(labeled) + len(new) > broadcast_max:
-                # ball outgrew the broadcast budget: hand off to the sharded
-                # route for the remaining hops (frontiers become datasets)
-                ds_frontiers = [rd.from_arrow(pa.table(
-                    {"v": pa.array(a, pa.int64())})) for a in arr_frontiers]
-                arr_frontiers = []
-                ds_frontiers = _bfs_sharded_rounds(
-                    nw, ds_frontiers, max_hops - _h)
-                break
-            arr_frontiers.append(new)
-            labeled = np.union1d(labeled, new)
-            fr = new
-    else:
-        ds_frontiers = _bfs_sharded_rounds(nw, [seeds], max_hops)
-
-    if ds_frontiers:
-        out = rd.from_arrow(_BFS_OUT.empty_table())
-        for h, f in enumerate(ds_frontiers):
-            part = f.map_batches(
-                lambda b, _h=np.int64(h): pa.table(
-                    {"way_id": b["v"],
-                     "hops": pa.array(np.full(b.num_rows, _h, np.int64))},
-                    schema=_BFS_OUT),
-                batch_format="pyarrow")
-            out = out.union(part)
-        return out
-
-    tables = [pa.table({"way_id": pa.array(a, pa.int64()),
-                        "hops": pa.array(np.full(len(a), h, np.int64))},
-                       schema=_BFS_OUT)
-              for h, a in enumerate(arr_frontiers)]
-    return rd.from_arrow(pa.concat_tables(tables))
+    return _relax(ways_ds, False, "hops", max_hops, seed_highway,
+                  broadcast_max)
 
 
 def way_bfs_hops_sql(ways_path: str, max_hops: int = BFS_MAX_HOPS,
@@ -824,67 +896,6 @@ SELECT way_id, min(hops)::BIGINT AS hops FROM bfs GROUP BY way_id
 """
 
 
-# ---------------------------------------------------------------------------
-# Bounded-hops weighted reach (min-plus relaxation / SSSP-lite)
-#
-# The weighted counterpart of way_bfs_hops: cost to reach each way from the
-# motorway network, where stepping onto way v costs v's fix6-microdegree L1
-# polyline length (the way_l1_lengths metric — INTEGER, so every min/plus is
-# exact).  Unlike BFS, a way can be RE-labeled when a cheaper path arrives
-# later — the rounds are label-correcting (Bellman-Ford shape), bounded by
-# max_hops edges rather than run to fixpoint.
-#
-# Cardinality-routed like way_bfs_hops: the reached ball is result-bounded
-# (broadcast route: two streaming passes over the (node, way) incidence per
-# round, driver-merged integer min-folds); above the budget the rounds run
-# as three skinny sharded exchanges — (way)->node min-cost partials,
-# (node)->candidate way costs, (way)-> relabel fold against the labeled set
-# with the way-length rows riding the same exchange.
-REACH_MAX_HOPS = BFS_MAX_HOPS
-
-_REACH_MIX = pa.schema([("shard", pa.int64()), ("key", pa.int64()),
-                        ("aux", pa.int64()), ("cost", pa.int64()),
-                        ("kind", pa.int8())])
-_REACH_OUT = pa.schema([("way_id", pa.int64()), ("cost_udeg", pa.int64())])
-
-
-def _way_len_rows(b: pa.Table) -> pa.Table:
-    """(way_id, len_udeg) per tagged way — the way_l1_lengths fix6 metric."""
-    t = b.filter(b["tagged"])
-    if t.num_rows == 0:
-        return pa.schema([("way_id", pa.int64()),
-                          ("len_udeg", pa.int64())]).empty_table()
-    lats = t["lats"].combine_chunks()
-    lons = t["lons"].combine_chunks()
-    lens = np.asarray(lats.value_lengths(), dtype=np.int64)
-    la6 = np.floor(np.asarray(lats.flatten(), np.float64) * 1e6
-                   + 0.5).astype(np.int64)
-    lo6 = np.floor(np.asarray(lons.flatten(), np.float64) * 1e6
-                   + 0.5).astype(np.int64)
-    out = np.zeros(len(lens), dtype=np.int64)
-    if len(la6):
-        d = np.abs(np.diff(la6)) + np.abs(np.diff(lo6))
-        starts = np.concatenate([[0], np.cumsum(lens)])
-        cross = starts[1:-1] - 1
-        d[cross[(cross >= 0) & (cross < len(d))]] = 0
-        if len(d):
-            idx = np.minimum(starts[:-1], len(d) - 1)
-            out = np.add.reduceat(d, idx)
-            out[lens < 2] = 0
-    return pa.table({"way_id": t["way_id"].cast(pa.int64()),
-                     "len_udeg": pa.array(out, pa.int64())})
-
-
-def _merge_min(keys: np.ndarray, vals: np.ndarray):
-    """Sorted-unique keys with the min value per key."""
-    if len(keys) == 0:
-        return keys, vals
-    order = np.lexsort((vals, keys))
-    k, v = keys[order], vals[order]
-    first = np.concatenate([[True], k[1:] != k[:-1]])
-    return k[first], v[first]
-
-
 def way_reach_meters(ways_ds, max_hops: int = REACH_MAX_HOPS,
                      seed_highway: str = BFS_SEED_HIGHWAY,
                      broadcast_max: int = BFS_BROADCAST_MAX):
@@ -892,212 +903,8 @@ def way_reach_meters(ways_ds, max_hops: int = REACH_MAX_HOPS,
     traversed to reach each way from a ``seed_highway`` way in at most
     ``max_hops`` steps (seeds cost 0; stepping onto way v adds v's
     length)."""
-    import pyarrow.compute as pc
-
-    import ray
-    import ray.data as rd
-
-    nw = ways_ds.map_batches(_bfs_explode, batch_format="pyarrow").materialize()
-    wl_ds = ways_ds.map_batches(_way_len_rows,
-                                batch_format="pyarrow").materialize()
-
-    def seeds_fn(b: pa.Table) -> pa.Table:
-        m = pc.and_kleene(b["tagged"], pc.equal(b["highway"], seed_highway))
-        t = b.filter(m)
-        return pa.table({"v": t["way_id"].cast(pa.int64())})
-
-    seeds = ways_ds.map_batches(seeds_fn, batch_format="pyarrow").materialize()
-    if seeds.count() == 0:
-        return rd.from_arrow(_REACH_OUT.empty_table())
-
-    if seeds.count() > broadcast_max:
-        return _reach_sharded(nw, wl_ds, seeds, max_hops)
-
-    # ---- broadcast route: driver-held integer min maps, two passes/round
-    wl_df = wl_ds.to_pandas()
-    if len(wl_df) > broadcast_max:
-        return _reach_sharded(nw, wl_ds, seeds, max_hops)
-    wl_keys = wl_df["way_id"].to_numpy(np.int64)
-    wl_order = np.argsort(wl_keys)
-    wl_keys = wl_keys[wl_order]
-    wl_vals = wl_df["len_udeg"].to_numpy(np.int64)[wl_order]
-
-    def _len_of(ways: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(wl_keys, ways)
-        return wl_vals[np.minimum(pos, len(wl_keys) - 1)]
-
-    lab_k = np.unique(seeds.to_pandas()["v"].to_numpy(np.int64))
-    lab_c = np.zeros(len(lab_k), np.int64)
-    fr_k, fr_c = lab_k, lab_c
-
-    def _pass(key_col, out_col, keys_ref, costs_ref):
-        from .common import cached_get
-
-        def fn(b: pa.Table) -> pa.Table:
-            keys = cached_get(keys_ref)
-            costs = cached_get(costs_ref)
-            k = np.asarray(b[key_col].to_numpy(zero_copy_only=False),
-                           np.int64)
-            pos = np.searchsorted(keys, k)
-            pos_c = np.minimum(pos, len(keys) - 1)
-            hit = keys[pos_c] == k if len(keys) else np.zeros(len(k), bool)
-            o = np.asarray(b[out_col].to_numpy(zero_copy_only=False),
-                           np.int64)[hit]
-            c = costs[pos_c[hit]]
-            u, v = _merge_min(o, c)
-            return pa.table({"k": pa.array(u, pa.int64()),
-                             "c": pa.array(v, pa.int64())})
-
-        df = nw.map_batches(fn, batch_format="pyarrow").to_pandas()
-        return _merge_min(df["k"].to_numpy(np.int64),
-                          df["c"].to_numpy(np.int64))
-
-    for _ in range(max_hops):
-        nd_k, nd_c = _pass("way_id", "node", ray.put(fr_k), ray.put(fr_c))
-        if len(nd_k) == 0:
-            break
-        cw_k, cw_c = _pass("node", "way_id", ray.put(nd_k), ray.put(nd_c))
-        if len(cw_k) == 0:
-            break
-        cand_c = cw_c + _len_of(cw_k)
-        # compare against current labels
-        pos = np.searchsorted(lab_k, cw_k)
-        pos_c = np.minimum(pos, len(lab_k) - 1)
-        known = lab_k[pos_c] == cw_k
-        better = ~known | (cand_c < np.where(known, lab_c[pos_c],
-                                             np.iinfo(np.int64).max))
-        if not better.any():
-            break
-        fr_k, fr_c = cw_k[better], cand_c[better]
-        lab_k = np.concatenate([lab_k, fr_k])
-        lab_c = np.concatenate([lab_c, fr_c])
-        lab_k, lab_c = _merge_min(lab_k, lab_c)
-        if len(lab_k) > broadcast_max:
-            # ball outgrew the budget: restart on the sharded route (rare
-            # hand-off; relaxation is idempotent so a restart is correct)
-            return _reach_sharded(nw, wl_ds, seeds, max_hops)
-
-    return rd.from_arrow(pa.table({"way_id": pa.array(lab_k, pa.int64()),
-                                   "cost_udeg": pa.array(lab_c, pa.int64())},
-                                  schema=_REACH_OUT))
-
-
-def _reach_sharded(nw, wl_ds, seeds, max_hops: int):
-    """Above-budget route: three skinny sharded exchanges per round."""
-    import ray.data as rd
-
-    NS = np.int64(n_shards())
-
-    def _rows(key, aux, cost, kind):
-        return pa.table({"shard": pa.array(key % NS), "key": pa.array(key),
-                         "aux": pa.array(aux), "cost": pa.array(cost),
-                         "kind": pa.array(kind)}, schema=_REACH_MIX)
-
-    def _nw_mix(key_col, aux_col):
-        def fn(b: pa.Table) -> pa.Table:
-            k = np.asarray(b[key_col].to_numpy(zero_copy_only=False),
-                           np.int64)
-            a = np.asarray(b[aux_col].to_numpy(zero_copy_only=False),
-                           np.int64)
-            return _rows(k, a, np.zeros(len(k), np.int64),
-                         np.ones(len(k), np.int8))
-        return fn
-
-    def _labeled_mix(kind):
-        def fn(b: pa.Table) -> pa.Table:
-            k = np.asarray(b["v"].to_numpy(zero_copy_only=False), np.int64)
-            c = np.asarray(b["c"].to_numpy(zero_copy_only=False), np.int64)
-            return _rows(k, np.zeros(len(k), np.int64), c,
-                         np.full(len(k), kind, np.int8))
-        return fn
-
-    def _emit_node_costs(df: pd.DataFrame) -> pa.Table:
-        # kind 0 = frontier (key=way, cost); kind 1 = nw (key=way, aux=node)
-        fr = df[df["kind"] == 0].groupby("key")["cost"].min()
-        hit = df[(df["kind"] == 1) & df["key"].isin(fr.index)]
-        if len(hit) == 0:
-            return pa.table({"v": pa.array([], pa.int64()),
-                             "c": pa.array([], pa.int64())})
-        c = fr[hit["key"]].to_numpy(np.int64)
-        g = (pd.DataFrame({"v": hit["aux"].to_numpy(np.int64), "c": c})
-             .groupby("v")["c"].min())
-        return pa.table({"v": pa.array(g.index.to_numpy(np.int64)),
-                         "c": pa.array(g.to_numpy(np.int64))})
-
-    def _relabel(df: pd.DataFrame) -> pa.Table:
-        # kind 0 = candidate (key=way, cost=node-min), kind 1 = labeled,
-        # kind 2 = way length (cost=len)
-        wl = df[df["kind"] == 2].drop_duplicates("key").set_index(
-            "key")["cost"]
-        out_k, out_c, out_f = [], [], []
-        cand = df[df["kind"] == 0]
-        cand_min = (cand.groupby("key")["cost"].min() + wl[
-            cand.groupby("key")["cost"].min().index]) if len(cand) else None
-        old = df[df["kind"] == 1].groupby("key")["cost"].min()
-        keys = set(old.index)
-        if cand_min is not None:
-            keys |= set(cand_min.index)
-        for k in keys:
-            o = old.get(k)
-            c = cand_min.get(k) if cand_min is not None else None
-            if c is not None and (o is None or c < o):
-                out_k.append(k); out_c.append(int(c)); out_f.append(1)
-            elif o is not None:
-                out_k.append(k); out_c.append(int(o)); out_f.append(0)
-        return pa.table({"v": pa.array(out_k, pa.int64()),
-                         "c": pa.array(out_c, pa.int64()),
-                         "imp": pa.array(out_f, pa.int8())})
-
-    nw_by_way = nw.map_batches(_nw_mix("way_id", "node"),
-                               batch_format="pyarrow").materialize()
-    nw_by_node = nw.map_batches(_nw_mix("node", "way_id"),
-                                batch_format="pyarrow").materialize()
-    wl_mix = wl_ds.map_batches(
-        lambda b: _rows(
-            np.asarray(b["way_id"].to_numpy(zero_copy_only=False), np.int64),
-            np.zeros(b.num_rows, np.int64),
-            np.asarray(b["len_udeg"].to_numpy(zero_copy_only=False),
-                       np.int64),
-            np.full(b.num_rows, 2, np.int8)),
-        batch_format="pyarrow").materialize()
-
-    labeled = seeds.map_batches(
-        lambda b: pa.table({"v": b["v"], "c": pa.array(
-            np.zeros(b.num_rows, np.int64))}),
-        batch_format="pyarrow").materialize()
-    frontier = labeled
-    for _ in range(max_hops):
-        nd = (frontier.map_batches(_labeled_mix(0), batch_format="pyarrow")
-              .union(nw_by_way).groupby("shard")
-              .map_groups(_emit_node_costs, batch_format="pandas"))
-        cand = (nd.map_batches(_labeled_mix(0), batch_format="pyarrow")
-                .union(nw_by_node).groupby("shard")
-                .map_groups(_emit_node_costs, batch_format="pandas"))
-        merged = (cand.map_batches(_labeled_mix(0), batch_format="pyarrow")
-                  .union(labeled.map_batches(_labeled_mix(1),
-                                             batch_format="pyarrow"))
-                  .union(wl_mix).groupby("shard")
-                  .map_groups(_relabel, batch_format="pandas")).materialize()
-
-        def _only_imp(b: pa.Table) -> pa.Table:
-            t = b.filter(pa.array(np.asarray(
-                b["imp"].to_numpy(zero_copy_only=False)) == 1))
-            return pa.table({"v": t["v"], "c": t["c"]})
-
-        def _all(b: pa.Table) -> pa.Table:
-            return pa.table({"v": b["v"], "c": b["c"]})
-
-        frontier = merged.map_batches(_only_imp,
-                                      batch_format="pyarrow").materialize()
-        labeled = merged.map_batches(_all,
-                                     batch_format="pyarrow").materialize()
-        if frontier.count() == 0:
-            break
-
-    return labeled.map_batches(
-        lambda b: pa.table({"way_id": b["v"], "cost_udeg": b["c"]},
-                           schema=_REACH_OUT),
-        batch_format="pyarrow")
+    return _relax(ways_ds, True, "cost_udeg", max_hops, seed_highway,
+                  broadcast_max)
 
 
 def way_reach_meters_sql(ways_path: str, max_hops: int = REACH_MAX_HOPS,

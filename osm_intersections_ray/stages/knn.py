@@ -616,20 +616,15 @@ def _named_geom_rows(b: pa.Table) -> pa.Table:
                      "lats": sub["lats"], "lons": sub["lons"]})
 
 
-def build_named_geom(ways_ds, max_vertices: int = SNAP_BROADCAST_VERTICES_MAX):
+def build_named_geom(ways_ds):
     """Collect named-way polylines into four flat numpy arrays (way ids
     sorted, vertex offsets, flat lats/lons) for the broadcast route.  The
-    ways table is the DIMENSION side; above ``max_vertices`` the caller
-    must take the join route instead."""
+    ways table is the DIMENSION side; the caller routes on the region
+    index's ``n_vertices`` (the same named-way filter) before calling."""
     df = (ways_ds.map_batches(_named_geom_rows, batch_format="pyarrow")
           .to_pandas())
     df = df.sort_values("way_id", kind="stable").reset_index(drop=True)
     lens = np.array([len(x) for x in df["lats"]], dtype=np.int64)
-    total = int(lens.sum())
-    if total > max_vertices:
-        raise ValueError(
-            f"named-way geometry has {total} vertices > broadcast cap "
-            f"{max_vertices}; use the segment-join route")
     offs = np.zeros(len(df) + 1, dtype=np.int64)
     np.cumsum(lens, out=offs[1:])
     return {
@@ -819,7 +814,7 @@ def pages_segment_snap(pages_ds, ways_ds,
     pts = pages_ds.map_batches(geotag_batch, batch_format="pyarrow",
                                batch_size=4096)
     if index["n_vertices"] <= broadcast_vertices_max:
-        geom_ref = ray.put(build_named_geom(ways_ds, broadcast_vertices_max))
+        geom_ref = ray.put(build_named_geom(ways_ds))
         return map_tasks(pts, PagesSegmentSnap, idx_ref, geom_ref, with_d2,
                          batch_size=2048)
     nn = map_tasks(pts, PagesNearestWayCoords, idx_ref, batch_size=2048)

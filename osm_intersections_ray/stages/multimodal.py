@@ -1655,9 +1655,6 @@ def _read_utf8_number(br: _FlacBitReader) -> int:
     return n
 
 
-_FIXED_COEFS = {0: [], 1: [1], 2: [2, -1], 3: [3, -3, 1], 4: [4, -6, 4, -1]}
-
-
 def _rice_best_k(u: np.ndarray) -> int:
     best_k, best_cost = 0, None
     for k in range(15):

@@ -561,23 +561,6 @@ def pages_way_join_native(pages_ds, ways_ds, num_partitions: int = 32,
     return joined.map_batches(refine, batch_format="pyarrow")
 
 
-def _join_table(out: dict) -> pa.Table:
-    return pa.table(
-        {
-            "cellkey": pa.array(out["cellkey"], pa.int64()),
-            "role": pa.array(out["role"], pa.int8()),
-            "url": pa.array(out["url"], pa.string()),
-            "lat": pa.array(out["lat"], pa.float64()),
-            "lon": pa.array(out["lon"], pa.float64()),
-            "way_id": pa.array(out["way_id"], pa.int64()),
-            "minlat": pa.array(out["minlat"], pa.float64()),
-            "minlon": pa.array(out["minlon"], pa.float64()),
-            "maxlat": pa.array(out["maxlat"], pa.float64()),
-            "maxlon": pa.array(out["maxlon"], pa.float64()),
-        }
-    )
-
-
 def pages_way_join_sql(pages_table: str, ways_path: str) -> str:
     """Oracle: exact bbox containment (the cover join + refinement equals it)."""
     return f"""
@@ -2942,6 +2925,8 @@ def pages_near_boundary(pages_ds, bounds_tbl: pa.Table,
                 segs[3].append(np.asarray(ring[1:, 1], np.float64))
     cities = []
     for name in sorted(by_name):
+        if not by_name[name][0]:
+            continue  # only degenerate rings: no segments, no rows
         x1, y1, x2, y2 = (np.concatenate(a) for a in by_name[name])
         bbox = (min(x1.min(), x2.min()) - d_deg,
                 min(y1.min(), y2.min()) - d_deg,

@@ -57,8 +57,6 @@ def _query_terms() -> list[tuple[int, str]]:
 
 _STATS_SCHEMA = pa.schema([("term", pa.string()), ("df", pa.int64()),
                            ("dl", pa.int64()), ("n", pa.int64())])
-_CAND_SCHEMA = pa.schema([("query_id", pa.int64()), ("doc_id", pa.int64()),
-                          ("score", pa.int64())])
 _OUT_SCHEMA = pa.schema([("query_id", pa.int64()), ("rk", pa.int64()),
                          ("doc_id", pa.int64()), ("score", pa.int64())])
 

@@ -76,10 +76,6 @@ class SmallState:
     neighbor_index: dict
 
 
-def _live_name(row_name, row_ref, rename) -> str:
-    return get_way_name(rename if rename is not None else row_name, row_ref)
-
-
 def emitted_names(name, ref, highway, rename, fake) -> list[str]:
     """The wayData row names a way contributes (js/geo.js:413-593): its
     pass-1 getWayName row if nonempty, plus the adopted-name row if J7

@@ -1699,36 +1699,44 @@ def test_ann_ivf_pq_recall(ray_session):
     assert np.isfinite(cb).all()
 
 
-def test_way_bfs_hops_routes_and_empty(ray_session, fixtures_dir):
-    """The three BFS routes (broadcast, mid-walk hand-off, fully sharded)
-    emit identical (way_id, hops) sets; an empty seed set keeps schema."""
-    import os
-
+def _relax_routes(fixtures_dir, op, col):
+    """Check that ``op``'s three routes (broadcast, mid-walk hand-off, fully
+    sharded) emit identical (way_id, ``col``) rows and that an empty seed set
+    keeps the schema; returns the sorted rows."""
     import ray.data as rd
 
-    from osm_intersections_ray.stages.graph import way_bfs_hops
+    from osm_intersections_ray.stages.graph import BFS_MAX_HOPS, way_bfs_hops
 
     ways = lambda: rd.read_parquet(  # noqa: E731
         os.path.join(fixtures_dir, "ways.parquet"), override_num_blocks=8)
 
-    def rows(ds):
-        df = ds.to_pandas()
-        return sorted(map(tuple, df[["way_id", "hops"]].to_numpy()))
+    def rows(ds, c=col):
+        return sorted(map(tuple, ds.to_pandas()[["way_id", c]].to_numpy()))
 
-    broadcast = rows(way_bfs_hops(ways()))
+    hops = rows(way_bfs_hops(ways()), "hops")
+    broadcast = hops if op is way_bfs_hops else rows(op(ways()))
     assert broadcast, "fixture must reach at least the seeds"
-    n_seeds = sum(1 for _, h in broadcast if h == 0)
-    assert n_seeds >= 1
-    # seeds fit, first expansion overflows -> mid-walk hand-off to sharded
-    handoff = rows(way_bfs_hops(ways(), broadcast_max=n_seeds))
-    assert handoff == broadcast
+    assert [w for w, _ in broadcast] == [w for w, _ in hops]  # one ball
+    # the ball within BFS_MAX_HOPS - 2 steps fits the budget and one step
+    # more does not: the hand-off leaves exactly one round to the shards
+    budget = sum(1 for _, h in hops if h <= BFS_MAX_HOPS - 2)
+    assert budget < sum(1 for _, h in hops if h <= BFS_MAX_HOPS - 1)
+    assert rows(op(ways(), broadcast_max=budget)) == broadcast
     # seeds alone overflow -> fully sharded from round 0
-    sharded = rows(way_bfs_hops(ways(), broadcast_max=0))
-    assert sharded == broadcast
+    assert rows(op(ways(), broadcast_max=0)) == broadcast
     # no seeds at all -> empty result that still carries the schema
-    empty = way_bfs_hops(ways(), seed_highway="no_such_highway")
+    empty = op(ways(), seed_highway="no_such_highway")
     assert empty.count() == 0
-    assert empty.schema().names == ["way_id", "hops"]
+    assert empty.schema().names == ["way_id", col]
+    return broadcast
+
+
+def test_way_bfs_hops_routes_and_empty(ray_session, fixtures_dir):
+    """BFS hops: route identity and empty-seed schema; seeds are hop 0."""
+    from osm_intersections_ray.stages.graph import way_bfs_hops
+
+    broadcast = _relax_routes(fixtures_dir, way_bfs_hops, "hops")
+    assert any(h == 0 for _, h in broadcast)
 
 
 def test_page_hex_density_edges(ray_session):
@@ -2143,26 +2151,54 @@ def test_pages_near_boundary_geofence(ray_session):
             == sorted(map(tuple, orc[cols].to_numpy())))
 
 
-def test_way_reach_meters_routes(ray_session, fixtures_dir):
-    """Weighted reach: broadcast and sharded routes emit identical
-    (way_id, cost_udeg); seeds cost 0; costs are exact integers."""
-    import os
+def test_pages_near_boundary_degenerate_city(ray_session, tmp_path):
+    """A city whose only ring is a single point has no boundary segments:
+    it yields no rows (as in the oracle) instead of failing the whole op."""
+    import duckdb
+    import pyarrow.parquet as pq
 
     import ray.data as rd
 
+    from osm_intersections_ray.stages.pages import (
+        pages_near_boundary,
+        pages_near_boundary_sql,
+    )
+
+    bounds = pa.table({
+        "name": ["Aville", "Dot"],
+        "kind": ["city", "city"],
+        "file_order": pa.array([0, 1], pa.int64()),
+        "geom_json": [
+            "[[[0.0, 0.0], [0.01, 0.0], [0.01, 0.01], [0.0, 0.01], "
+            "[0.0, 0.0]]]",
+            "[[[0.005, -0.0005]]]",
+        ],
+    })
+    pts = [(-0.0005, 0.005), (0.005, 0.005)]   # near A's edge; interior
+    tbl = pa.table({
+        "url": pa.array([f"http://d{i}.com/" for i in range(len(pts))]),
+        "html": pa.array([
+            f'<meta name="geo.position" content="{la};{lo}">'.encode()
+            for la, lo in pts], pa.binary()),
+    })
+    eng = pages_near_boundary(rd.from_arrow(tbl), bounds).to_pandas()
+    bp = str(tmp_path / "boundaries.parquet")
+    pq.write_table(bounds, bp)
+    con = duckdb.connect()
+    con.register("pages", tbl)
+    orc = con.execute(pages_near_boundary_sql("pages", bp)).fetchdf()
+    cols = ["url", "n_near", "cities"]
+    got = sorted(map(tuple, eng[cols].to_numpy()))
+    assert got == [("http://d0.com/", 1, "Aville")]
+    assert got == sorted(map(tuple, orc[cols].to_numpy()))
+
+
+def test_way_reach_meters_routes(ray_session, fixtures_dir):
+    """Weighted reach: route identity and empty-seed schema; seeds cost 0;
+    costs are exact non-negative integers."""
     from osm_intersections_ray.stages.graph import way_reach_meters
 
-    ways = lambda: rd.read_parquet(  # noqa: E731
-        os.path.join(fixtures_dir, "ways.parquet"), override_num_blocks=8)
-
-    def rows(ds):
-        df = ds.to_pandas()
-        return sorted(map(tuple, df[["way_id", "cost_udeg"]].to_numpy()))
-
-    broadcast = rows(way_reach_meters(ways()))
-    assert broadcast
+    broadcast = _relax_routes(fixtures_dir, way_reach_meters, "cost_udeg")
     zero = [c for _, c in broadcast if c == 0]
     assert zero, "seeds must carry cost 0"
-    assert all(c >= 0 for _, c in broadcast)
-    sharded = rows(way_reach_meters(ways(), broadcast_max=0))
-    assert sharded == broadcast
+    assert all(isinstance(c, np.integer) and c >= 0 for _, c in broadcast)
